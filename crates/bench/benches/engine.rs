@@ -7,8 +7,8 @@ use std::hint::black_box;
 
 use aeolus_bench::harness::Suite;
 use aeolus_bench::{
-    batched_dequeue, btreemap_churn, flowmap_churn, incast_sim_events, incast_sim_events_recorded,
-    route_lookup, timer_stream_events,
+    batched_dequeue, btreemap_churn, dense_tick_stream_events, flowmap_churn, incast_sim_events,
+    incast_sim_events_recorded, route_lookup, timer_stream_events,
 };
 use aeolus_sim::event::SchedulerKind;
 use aeolus_sim::{
@@ -36,6 +36,12 @@ fn bench_event_queue(suite: &mut Suite) {
     });
     suite.bench("timer_stream_200k_heap", || {
         timer_stream_events(SchedulerKind::BinaryHeap, N)
+    });
+    suite.bench("dense_tick_stream_200k_wheel", || {
+        dense_tick_stream_events(SchedulerKind::TimingWheel, N)
+    });
+    suite.bench("dense_tick_stream_200k_heap", || {
+        dense_tick_stream_events(SchedulerKind::BinaryHeap, N)
     });
     suite.bench("incast_sim_wheel", || incast_sim_events(SchedulerKind::TimingWheel, 30_000, 3));
     suite.bench("incast_sim_heap", || incast_sim_events(SchedulerKind::BinaryHeap, 30_000, 3));
@@ -138,6 +144,9 @@ fn main() {
     let wheel = engine.sample("timer_stream_200k_wheel").unwrap().units_per_sec();
     let heap = engine.sample("timer_stream_200k_heap").unwrap().units_per_sec();
     println!("\ntimer stream speedup (wheel vs heap): {:.2}x", wheel / heap);
+    let wheel = engine.sample("dense_tick_stream_200k_wheel").unwrap().units_per_sec();
+    let heap = engine.sample("dense_tick_stream_200k_heap").unwrap().units_per_sec();
+    println!("dense ticks speedup (wheel vs heap):  {:.2}x", wheel / heap);
     let wheel = engine.sample("incast_sim_wheel").unwrap().units_per_sec();
     let heap = engine.sample("incast_sim_heap").unwrap().units_per_sec();
     println!("incast sim speedup (wheel vs heap):   {:.2}x", wheel / heap);

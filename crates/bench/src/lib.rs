@@ -10,7 +10,7 @@ pub mod trajectory;
 
 use aeolus_sim::event::{Event, EventQueue, SchedulerKind};
 use aeolus_sim::topology::LinkParams;
-use aeolus_sim::units::{ms, us, Rate};
+use aeolus_sim::units::{ms, us, Rate, Time};
 use aeolus_sim::{
     DropTailQueue, EnqueueOutcome, FlowDesc, FlowId, FlowMap, NodeId, Packet, PacketPool,
     PacketRef, Poll, QueueDisc, RecordingTracer, RoutePolicy, RouteTable, SimRng, TrafficClass,
@@ -293,9 +293,12 @@ pub fn batched_dequeue(n: u64) -> u64 {
 
 /// Pop `n` events through an [`EventQueue`] under `kind`, re-scheduling a
 /// new timer after every pop (the self-sustaining pattern of a real DES hot
-/// loop). Deltas mix sub-tick, in-wheel and overflow horizons so both the
-/// current-tick heap, the wheel buckets and the overflow heap are exercised.
-/// Returns the number of events processed (= `n`).
+/// loop). Deltas mix sub-tick, in-wheel and overflow horizons so the
+/// current tick, the wheel buckets and the overflow heap are all exercised.
+/// About 1,000 events spread over 150 µs: the wheel sees about 0.3 events
+/// per 65.5 ns tick, far sparser than a simulated fabric (see
+/// [`dense_tick_stream_events`]). Returns the number of events processed
+/// (= `n`).
 pub fn timer_stream_events(kind: SchedulerKind, n: u64) -> u64 {
     let mut q = EventQueue::with_scheduler(kind);
     let mut rng = SimRng::seed_from_u64(0x5eed_cafe);
@@ -313,6 +316,38 @@ pub fn timer_stream_events(kind: SchedulerKind, n: u64) -> u64 {
             1 + rng.below(1 << 14)
         } else {
             us(300) + rng.below(ms(5))
+        };
+        q.schedule_at(t + delta, Event::Timer { node: NodeId(0), token: popped });
+    }
+    popped
+}
+
+/// Pop `n` events through an [`EventQueue`] under `kind`, re-scheduling one
+/// event per pop with the delta mix measured on the benchmark's
+/// `incast_mix` run (Homa on a 400 G spine-leaf): about 1,500 pending
+/// events; 37% of deltas under one 65.5 ns tick, 13% at one tick, 7% at
+/// two to three, 43% at four to fifteen, and 0.02% just beyond the
+/// wheel's 268 µs reach (short enough that these few do not pile up). The queue keeps its default 65.5 ns tick, so the
+/// wheel sees over a hundred events per tick; a [`aeolus_sim::Network`]
+/// fits a finer tick to its fastest link. Returns the number of events
+/// processed (= `n`).
+pub fn dense_tick_stream_events(kind: SchedulerKind, n: u64) -> u64 {
+    const TICK: Time = 1 << 16;
+    let mut q = EventQueue::with_scheduler(kind);
+    let mut rng = SimRng::seed_from_u64(0xde45_e71c);
+    for i in 0..1_500u64 {
+        q.schedule_at(rng.below(16 * TICK), Event::Timer { node: NodeId(0), token: i });
+    }
+    let mut popped = 0u64;
+    while popped < n {
+        let (t, _ev) = q.pop().expect("self-sustaining stream drained early");
+        popped += 1;
+        let delta = match rng.below(10_000) {
+            0..3_700 => rng.below(TICK),
+            3_700..5_000 => TICK + rng.below(TICK),
+            5_000..5_700 => 2 * TICK + rng.below(2 * TICK),
+            5_700..9_998 => 4 * TICK + rng.below(12 * TICK),
+            _ => us(270) + rng.below(us(100)),
         };
         q.schedule_at(t + delta, Event::Timer { node: NodeId(0), token: popped });
     }
@@ -358,6 +393,13 @@ mod tests {
         let n = 20_000;
         assert_eq!(timer_stream_events(SchedulerKind::TimingWheel, n), n);
         assert_eq!(timer_stream_events(SchedulerKind::BinaryHeap, n), n);
+    }
+
+    #[test]
+    fn dense_tick_stream_is_scheduler_independent() {
+        let n = 20_000;
+        assert_eq!(dense_tick_stream_events(SchedulerKind::TimingWheel, n), n);
+        assert_eq!(dense_tick_stream_events(SchedulerKind::BinaryHeap, n), n);
     }
 
     #[test]

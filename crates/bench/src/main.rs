@@ -1,7 +1,8 @@
 //! `aeolus-bench` — the repo's benchmark entry point.
 //!
 //! Runs the engine microbenches (timing wheel vs the reference binary-heap
-//! scheduler, on a synthetic timer stream and a full incast simulation) plus
+//! scheduler, on a sparse timer stream, a dense-tick stream and a full
+//! incast simulation) plus
 //! a macro bench (one quick-scale paper figure, serial and parallel), prints
 //! a summary and writes a JSON report.
 //!
@@ -17,7 +18,8 @@ use aeolus_bench::alloc_counter::CountingAlloc;
 use aeolus_bench::harness::{write_json, BenchConfig, Suite};
 use aeolus_bench::trajectory::{find_all_snapshots, trajectory_delta};
 use aeolus_bench::{
-    batched_dequeue, boxed_churn, btreemap_churn, flowmap_churn, incast_sim_events,
+    batched_dequeue, boxed_churn, btreemap_churn, dense_tick_stream_events, flowmap_churn,
+    incast_sim_events,
     incast_sim_events_recorded, pool_churn, route_lookup, steady_incast_alloc_window,
     timer_stream_events,
 };
@@ -82,6 +84,12 @@ fn main() {
     engine.bench("timer_stream_200k_heap", || {
         timer_stream_events(SchedulerKind::BinaryHeap, TIMER_EVENTS)
     });
+    engine.bench("dense_tick_stream_200k_wheel", || {
+        dense_tick_stream_events(SchedulerKind::TimingWheel, TIMER_EVENTS)
+    });
+    engine.bench("dense_tick_stream_200k_heap", || {
+        dense_tick_stream_events(SchedulerKind::BinaryHeap, TIMER_EVENTS)
+    });
     engine.bench("incast_sim_wheel", || incast_sim_events(SchedulerKind::TimingWheel, 30_000, 3));
     engine.bench("incast_sim_heap", || incast_sim_events(SchedulerKind::BinaryHeap, 30_000, 3));
     engine.bench("incast_sim_wheel_recorded", || {
@@ -138,6 +146,10 @@ fn main() {
     println!(
         "timer stream: wheel is {:.2}x the heap scheduler (events/s)",
         speedup(&engine, "timer_stream_200k_wheel", "timer_stream_200k_heap")
+    );
+    println!(
+        "dense ticks:  wheel is {:.2}x the heap scheduler (events/s)",
+        speedup(&engine, "dense_tick_stream_200k_wheel", "dense_tick_stream_200k_heap")
     );
     println!(
         "incast sim:   wheel is {:.2}x the heap scheduler (events/s)",

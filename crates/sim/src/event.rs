@@ -3,8 +3,12 @@
 //! The default scheduler is a **timing wheel** tuned for DES access
 //! patterns: most events land within a few link-serialization times of
 //! `now`, so they hit an O(1) bucket insert instead of an O(log n) heap
-//! sift, and the hot pop path touches one small per-tick heap instead of a
-//! cache-hostile global heap. A binary-heap scheduler is kept behind
+//! sift, and the hot pop path reads the front of a short buffer holding the
+//! current tick instead of sifting a cache-hostile global heap. A fabric's
+//! event density scales with its link speed — on a 400 G fabric a 65.5 ns
+//! tick holds over a hundred events — so a [`crate::Network`] sizes the
+//! tick to its fastest link (`EventQueue::fit_tick`), keeping a few events
+//! per tick. A binary-heap scheduler is kept behind
 //! [`SchedulerKind::BinaryHeap`] as the reference implementation for
 //! benchmarks and determinism cross-checks.
 //!
@@ -14,7 +18,7 @@
 //! guides, a CPU-bound discrete-event simulation gains nothing from an
 //! async runtime.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::packet::{FlowDesc, NodeId, PortId};
@@ -140,16 +144,16 @@ impl HeapScheduler {
     }
 
     #[inline]
-    fn pop(&mut self) -> Option<Scheduled> {
-        self.heap.pop()
+    fn pop(&mut self) -> Option<(Time, Event)> {
+        self.heap.pop().map(|s| (s.at, s.event))
     }
 
     #[inline]
-    fn pop_at_or_before(&mut self, limit: Time) -> Option<Scheduled> {
+    fn pop_at_or_before(&mut self, limit: Time) -> Option<(Time, Event)> {
         if self.heap.peek()?.at > limit {
             return None;
         }
-        self.heap.pop()
+        self.pop()
     }
 
     fn peek_time(&self) -> Option<Time> {
@@ -165,65 +169,103 @@ impl HeapScheduler {
 // Timing-wheel scheduler
 // ---------------------------------------------------------------------------
 
-/// log2 of the wheel tick in picoseconds: 2^16 ps ≈ 65.5 ns, about half the
-/// serialization time of an MTU frame at 100 Gbps — fine-grained enough that
-/// a tick rarely holds more than a handful of events.
-const TICK_SHIFT: u32 = 16;
-/// log2 of the bucket count: 4096 buckets ≈ 268 µs of horizon, which covers
-/// serialization + propagation of every hop in the paper's topologies.
-/// Events beyond it (RTOs, drain timers) go to the overflow heap.
+/// log2 of the default wheel tick in picoseconds (2^16 ps ≈ 65.5 ns), used
+/// until [`EventQueue::fit_tick`] sizes the tick to a topology.
+const DEFAULT_TICK_SHIFT: u32 = 16;
+/// Bounds on a fitted tick: 2^8 ps (256 ps) to 2^20 ps (≈1 µs).
+const MIN_TICK_SHIFT: u32 = 8;
+const MAX_TICK_SHIFT: u32 = 20;
+/// log2 of the bucket count. 4096 buckets span 4.2 µs at a 400 G
+/// topology's 2^10 ps tick and 268 µs at the default tick: serialization
+/// plus propagation of the next hop in every topology here. Events beyond
+/// the span (RTOs, drain timers) go to the overflow heap.
 const WHEEL_BITS: u32 = 12;
 const WHEEL_SIZE: usize = 1 << WHEEL_BITS;
 const WHEEL_MASK: u64 = (WHEEL_SIZE as u64) - 1;
-/// One summary bit per 64-bucket occupancy word.
+/// One occupancy word per 64 buckets; the one-word summary holds a bit per
+/// occupancy word, so `WORDS` must not exceed 64.
 const WORDS: usize = WHEEL_SIZE / 64;
 
-/// Slab slot holding one bucketed event plus the intrusive FIFO link to the
-/// next event of the same tick ([`NIL`] terminates the list).
+/// log2 of the tick fitted to an MTU serialization time of `mtu_ser`: the
+/// power of two nearest `mtu_ser / 32`, within the tick bounds.
+fn tick_shift_for(mtu_ser: Time) -> u32 {
+    let target = (mtu_ser / 32).max(1);
+    let floor = 63 - target.leading_zeros();
+    let nearest = if target > (3 << floor) / 2 { floor + 1 } else { floor };
+    nearest.clamp(MIN_TICK_SHIFT, MAX_TICK_SHIFT)
+}
+
+/// Slab slot holding one bucketed event plus the intrusive link to the
+/// event pushed before it into the same bucket ([`NIL`] terminates the
+/// list). `event` is `None` while the slot sits on the free list.
+///
+/// No `seq`: within a bucket, list order is `seq` order among events of
+/// equal `at` (see [`WheelScheduler::bucket_drain_into_cur`]), so a stable
+/// sort by `at` restores the `(at, seq)` order. That keeps a slot at 32
+/// bytes, two per cache line.
 struct BucketNode {
-    s: Scheduled,
+    at: Time,
+    event: Option<Event>,
     next: u32,
+}
+
+/// An event of the tick being drained.
+struct Due {
+    at: Time,
+    event: Event,
 }
 
 /// Sentinel for "no slot" in the bucket slab's intrusive lists.
 const NIL: u32 = u32::MAX;
 
 /// Timing-wheel scheduler: one rotation of `WHEEL_SIZE` buckets of
-/// `2^TICK_SHIFT` ps each, a small heap for the tick being drained, and an
-/// overflow heap for events beyond the horizon.
+/// `2^shift` ps each, a buffer for the tick being drained, and an overflow
+/// heap for events beyond the horizon.
+///
+/// The tick is sized to the topology (see [`EventQueue::fit_tick`]) because
+/// event density scales with link speed: at 400 G a 65.5 ns tick holds
+/// over a hundred events, which makes every drain a sort and every push
+/// into the current tick a sorted insert into a long buffer. At about 1/32
+/// of the fastest link's MTU serialization time a tick holds a few events:
+/// a push links one slot in front of its bucket's list in O(1), and most
+/// drained buckets come out already in order, which the drain checks on
+/// the way.
 ///
 /// Bucketed events live in one recycling slab (`nodes` + `free`) threaded
-/// into per-bucket intrusive FIFO lists. Per-bucket `Vec`s would keep
-/// reallocating for the whole run — 4096 independent buffers, each growing
-/// the first time *it* sees a deeper tick — whereas the shared slab reaches
-/// its high-water mark during warm-up and never touches the allocator
-/// again (the steady-state zero-allocation invariant).
+/// into per-bucket intrusive lists, so storage tracks the number of pending
+/// events. Per-bucket `Vec`s would each keep the capacity of the deepest
+/// tick they ever held, for the whole run; the shared slab reaches its
+/// high-water mark during warm-up and never touches the allocator again
+/// (the steady-state zero-allocation invariant).
 ///
 /// Invariants:
-/// * `base_tick == now >> TICK_SHIFT` whenever events are pending — events
-///   of the current tick live in `cur`, so wheel buckets only ever hold
-///   ticks in `(base_tick, base_tick + WHEEL_SIZE)`;
+/// * events of every tick up to `base_tick` live in `cur` (usually just
+///   `now`'s tick, but a fused pop that answered "nothing due yet" may
+///   have moved the cursor past it), so wheel buckets only ever hold ticks
+///   in `(base_tick, base_tick + WHEEL_SIZE)`;
 /// * every overflow event's tick is `>= base_tick + WHEEL_SIZE` (re-checked
 ///   after every cursor advance), so the earliest pending event is always
-///   `cur`'s min, else the first occupied bucket's min, else overflow's min.
+///   `cur`'s last, else the first occupied bucket's min, else overflow's
+///   min;
+/// * `cur` is in reverse `(at, seq)` order, and every event pushed into it
+///   has the largest `seq` pending, so it pops after every event at or
+///   before its `at`.
 struct WheelScheduler {
+    /// log2 of the tick in picoseconds.
+    shift: u32,
     base_tick: u64,
     len: usize,
-    /// Events of the tick currently being drained, sorted **descending** by
-    /// `(at, seq)` so the next event is an O(1) `Vec::pop` off the end. A
-    /// tick is ≈65.5 ns, so this rarely holds more than a handful of
-    /// events — one `sort_unstable` per drained bucket beats a binary
-    /// heap's per-element sift-down.
-    cur: Vec<Scheduled>,
+    /// Events of the tick currently being drained, in reverse pop order:
+    /// the next event is the last.
+    cur: Vec<Due>,
     /// Slab backing every bucketed event.
     nodes: Vec<BucketNode>,
     /// Recycled slab slots.
     free: Vec<u32>,
-    /// Per-bucket FIFO list heads/tails into `nodes`.
+    /// Per-bucket list heads into `nodes`: the last event pushed.
     head: Vec<u32>,
-    tail: Vec<u32>,
     /// Occupancy bitmap over buckets plus a one-word summary, so finding
-    /// the next occupied bucket is two `trailing_zeros`, not a scan.
+    /// the next occupied bucket is a few `trailing_zeros`, not a scan.
     occupied: [u64; WORDS],
     summary: u64,
     /// Events at `tick >= base_tick + WHEEL_SIZE`.
@@ -233,23 +275,26 @@ struct WheelScheduler {
 impl WheelScheduler {
     fn new() -> WheelScheduler {
         WheelScheduler {
+            shift: DEFAULT_TICK_SHIFT,
             base_tick: 0,
             len: 0,
             cur: Vec::new(),
             nodes: Vec::new(),
             free: Vec::new(),
             head: vec![NIL; WHEEL_SIZE],
-            tail: vec![NIL; WHEEL_SIZE],
             occupied: [0; WORDS],
             summary: 0,
             overflow: BinaryHeap::new(),
         }
     }
 
-    /// Append `s` to bucket `idx`'s FIFO list, reusing a recycled slab slot
-    /// when one is available.
-    fn bucket_push(&mut self, idx: usize, s: Scheduled) {
-        let node = BucketNode { s, next: NIL };
+    /// Link an event in front of bucket `idx`'s list, reusing a recycled
+    /// slab slot when one is available. Touches the bucket head and the new
+    /// slot only.
+    #[inline]
+    fn bucket_push(&mut self, idx: usize, at: Time, event: Event) {
+        let next = self.head[idx];
+        let node = BucketNode { at, event: Some(event), next };
         let slot = match self.free.pop() {
             Some(i) => {
                 self.nodes[i as usize] = node;
@@ -260,46 +305,49 @@ impl WheelScheduler {
                 (self.nodes.len() - 1) as u32
             }
         };
-        if self.head[idx] == NIL {
-            self.head[idx] = slot;
+        if next == NIL {
             self.set_bit(idx);
-        } else {
-            let t = self.tail[idx];
-            self.nodes[t as usize].next = slot;
         }
-        self.tail[idx] = slot;
+        self.head[idx] = slot;
     }
 
     /// Drain bucket `idx` into the cursor buffer, recycling its slab slots.
-    /// Pop order is unaffected by list order: `(at, seq)` is a total order,
-    /// so any insertion sequence sorts to the same pop sequence.
+    ///
+    /// The list runs from the last push to the first. Events are pushed in
+    /// `seq` order, except that overflow events migrate in `(at, seq)`
+    /// order — but all of a tick's migrate before any direct push to it,
+    /// and with lower `seq`. So among events of equal `at`, list order is
+    /// reverse `seq` order: copied in walk order, `cur` is in reverse
+    /// `(at, seq)` order once stably sorted by descending `at`. The walk
+    /// checks whether it already is; most buckets are.
     fn bucket_drain_into_cur(&mut self, idx: usize) {
+        debug_assert!(self.cur.is_empty());
         let mut slot = self.head[idx];
         self.head[idx] = NIL;
-        self.tail[idx] = NIL;
         self.clear_bit(idx);
+        let mut sorted = true;
+        let mut last = Time::MAX;
         while slot != NIL {
             let node = &mut self.nodes[slot as usize];
-            let next = node.next;
-            // Move the event out, leaving an inert placeholder in the slot.
-            let s = std::mem::replace(
-                &mut node.s,
-                Scheduled { at: 0, seq: 0, event: Event::PortFree { node: NodeId(0), port: PortId(0) } },
-            );
-            self.cur.push(s);
+            sorted &= node.at <= last;
+            last = node.at;
+            let event = node.event.take().expect("linked slot holds an event");
+            self.cur.push(Due { at: node.at, event });
             self.free.push(slot);
-            slot = next;
+            slot = node.next;
         }
-        if self.cur.len() > 1 {
-            self.cur.sort_unstable_by(|a, b| (b.at, b.seq).cmp(&(a.at, a.seq)));
+        if !sorted {
+            self.cur.sort_by_key(|d| Reverse(d.at));
         }
     }
 
-    /// Insert `s` into the (descending-sorted) cursor buffer in order.
-    fn cur_insert(&mut self, s: Scheduled) {
-        let key = (s.at, s.seq);
-        let pos = self.cur.partition_point(|e| (e.at, e.seq) > key);
-        self.cur.insert(pos, s);
+    /// Insert an event into the cursor buffer to pop after every event at
+    /// or before `at`: ahead of them in the reversed buffer, which moves
+    /// only those.
+    #[inline]
+    fn cur_insert(&mut self, at: Time, event: Event) {
+        let pos = self.cur.partition_point(|d| d.at > at);
+        self.cur.insert(pos, Due { at, event });
     }
 
     #[inline]
@@ -322,37 +370,41 @@ impl WheelScheduler {
         if self.summary == 0 {
             return None;
         }
-        let start = ((self.base_tick & WHEEL_MASK) as usize + 1) % WHEEL_SIZE;
         // The window [base_tick, base_tick + WHEEL_SIZE) maps bijectively
-        // onto bucket indices; circular order from the cursor is tick order.
-        // Scan the first (possibly partial) word, then whole words.
-        let first_word = start / 64;
-        let bits = self.occupied[first_word] >> (start % 64);
-        if bits != 0 {
-            return Some(start + bits.trailing_zeros() as usize);
+        // onto bucket indices; circular order from the cursor is tick order:
+        // the rest of the start word, the later words, the earlier words,
+        // then the start word's low bits.
+        let start = ((self.base_tick & WHEEL_MASK) as usize + 1) % WHEEL_SIZE;
+        let (w0, b) = (start / 64, start % 64);
+        let hi = self.occupied[w0] & (u64::MAX << b);
+        if hi != 0 {
+            return Some(w0 * 64 + hi.trailing_zeros() as usize);
         }
-        for step in 1..=WORDS {
-            let w = (first_word + step) % WORDS;
-            if self.occupied[w] != 0 {
-                return Some(w * 64 + self.occupied[w].trailing_zeros() as usize);
-            }
-        }
-        None
+        let later = if w0 + 1 < WORDS { self.summary & (u64::MAX << (w0 + 1)) } else { 0 };
+        let earlier = self.summary & ((1u64 << w0) - 1);
+        let w = if later != 0 {
+            later.trailing_zeros() as usize
+        } else if earlier != 0 {
+            earlier.trailing_zeros() as usize
+        } else {
+            w0
+        };
+        let bits = self.occupied[w];
+        (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
     }
 
     #[inline]
     fn push(&mut self, s: Scheduled) {
         self.len += 1;
-        let tick = s.at >> TICK_SHIFT;
+        let tick = s.at >> self.shift;
         // `<=`: a fused pop that answered "nothing due yet" may have moved
         // the cursor past `now`, and the caller can still legally schedule
-        // before the cursor. Such events join `cur`, whose sort keeps them
+        // before the cursor. Such events join `cur`, whose order keeps them
         // ahead of every bucketed (strictly later-tick) event.
         if tick <= self.base_tick {
-            self.cur_insert(s);
+            self.cur_insert(s.at, s.event);
         } else if tick < self.base_tick + WHEEL_SIZE as u64 {
-            let idx = (tick & WHEEL_MASK) as usize;
-            self.bucket_push(idx, s);
+            self.bucket_push((tick & WHEEL_MASK) as usize, s.at, s.event);
         } else {
             self.overflow.push(s);
         }
@@ -362,16 +414,15 @@ impl WheelScheduler {
     fn migrate_overflow(&mut self) {
         let horizon = self.base_tick + WHEEL_SIZE as u64;
         while let Some(s) = self.overflow.peek() {
-            let tick = s.at >> TICK_SHIFT;
+            let tick = s.at >> self.shift;
             if tick >= horizon {
                 break;
             }
             let s = self.overflow.pop().expect("peeked");
             if tick == self.base_tick {
-                self.cur_insert(s);
+                self.cur_insert(s.at, s.event);
             } else {
-                let idx = (tick & WHEEL_MASK) as usize;
-                self.bucket_push(idx, s);
+                self.bucket_push((tick & WHEEL_MASK) as usize, s.at, s.event);
             }
         }
     }
@@ -382,36 +433,25 @@ impl WheelScheduler {
         debug_assert!(self.cur.is_empty() && self.len > 0);
         if let Some(idx) = self.next_occupied() {
             let cursor = (self.base_tick & WHEEL_MASK) as usize;
-            let delta = (idx + WHEEL_SIZE - cursor) % WHEEL_SIZE;
-            self.base_tick += delta as u64;
-            self.bucket_drain_into_cur(idx % WHEEL_SIZE);
+            self.base_tick += ((idx + WHEEL_SIZE - cursor) % WHEEL_SIZE) as u64;
+            self.bucket_drain_into_cur(idx);
         } else {
             let at = self.overflow.peek().expect("len > 0 with empty wheel").at;
-            self.base_tick = at >> TICK_SHIFT;
+            self.base_tick = at >> self.shift;
         }
         self.migrate_overflow();
         debug_assert!(!self.cur.is_empty());
     }
 
-    fn pop(&mut self) -> Option<Scheduled> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.cur.is_empty() {
-            self.advance();
-        }
-        self.len -= 1;
-        let s = self.cur.pop().expect("advance loads the cursor tick");
-        // max: `cur` may hold pre-cursor events (see `push`); the cursor
-        // never moves backwards or bucketed ticks would alias.
-        self.base_tick = self.base_tick.max(s.at >> TICK_SHIFT);
-        Some(s)
+    fn pop(&mut self) -> Option<(Time, Event)> {
+        self.pop_at_or_before(Time::MAX)
     }
 
     /// Pop the next event only if it fires at or before `limit`; otherwise
     /// leave it pending. Fused peek + pop: the run loops call this once per
     /// event instead of scanning for the next occupied bucket twice.
-    fn pop_at_or_before(&mut self, limit: Time) -> Option<Scheduled> {
+    #[inline]
+    fn pop_at_or_before(&mut self, limit: Time) -> Option<(Time, Event)> {
         if self.len == 0 {
             return None;
         }
@@ -422,25 +462,23 @@ impl WheelScheduler {
             return None;
         }
         self.len -= 1;
-        let s = self.cur.pop().expect("checked non-empty");
-        self.base_tick = self.base_tick.max(s.at >> TICK_SHIFT);
-        Some(s)
+        self.cur.pop().map(|d| (d.at, d.event))
     }
 
     fn peek_time(&self) -> Option<Time> {
-        if let Some(s) = self.cur.last() {
-            return Some(s.at);
+        if let Some(d) = self.cur.last() {
+            return Some(d.at);
         }
         if let Some(idx) = self.next_occupied() {
-            let mut slot = self.head[idx % WHEEL_SIZE];
+            let mut slot = self.head[idx];
             debug_assert!(slot != NIL, "occupied bucket is non-empty");
-            let mut min = (Time::MAX, u64::MAX);
+            let mut min = Time::MAX;
             while slot != NIL {
                 let node = &self.nodes[slot as usize];
-                min = min.min((node.s.at, node.s.seq));
+                min = min.min(node.at);
                 slot = node.next;
             }
-            return Some(min.0);
+            return Some(min);
         }
         self.overflow.peek().map(|s| s.at)
     }
@@ -488,6 +526,22 @@ impl EventQueue {
         EventQueue { now: 0, seq: 0, imp }
     }
 
+    /// Size the timing wheel's tick to a topology whose fastest link
+    /// serializes an MTU frame in `mtu_ser`: about 1/32 of it, rounded to a
+    /// power of two (2^10 ps at 400 G, 2^12 at 100 G, 2^15 at 10 G), so a
+    /// tick holds a few events whatever the link speed. Pop order
+    /// does not depend on the tick; this only tunes speed. A no-op once
+    /// events are pending, and on the heap scheduler.
+    pub(crate) fn fit_tick(&mut self, mtu_ser: Time) {
+        if let Impl::Wheel(w) = &mut self.imp {
+            // A pending event's bucket depends on the tick.
+            if w.len == 0 {
+                w.shift = tick_shift_for(mtu_ser);
+                w.base_tick = self.now >> w.shift;
+            }
+        }
+    }
+
     /// Which scheduler this queue runs on.
     pub fn scheduler(&self) -> SchedulerKind {
         match self.imp {
@@ -506,6 +560,7 @@ impl EventQueue {
     ///
     /// # Panics
     /// Panics if `at` is in the past — a causality bug in the caller.
+    #[inline]
     pub fn schedule_at(&mut self, at: Time, event: Event) {
         assert!(at >= self.now, "event scheduled in the past: {} < {}", at, self.now);
         let seq = self.seq;
@@ -524,28 +579,30 @@ impl EventQueue {
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
+    #[inline]
     pub fn pop(&mut self) -> Option<(Time, Event)> {
-        let s = match &mut self.imp {
+        let (at, event) = match &mut self.imp {
             Impl::Wheel(w) => w.pop()?,
             Impl::Heap(h) => h.pop()?,
         };
-        debug_assert!(s.at >= self.now);
-        self.now = s.at;
-        Some((s.at, s.event))
+        debug_assert!(at >= self.now);
+        self.now = at;
+        Some((at, event))
     }
 
     /// Pop the next event only if it fires at or before `limit`, advancing
     /// the clock to its timestamp; returns `None` (and leaves the event
     /// pending) otherwise. The hot-loop form of `peek_time` + `pop`: one
     /// scheduler lookup per event instead of two.
+    #[inline]
     pub fn pop_at_or_before(&mut self, limit: Time) -> Option<(Time, Event)> {
-        let s = match &mut self.imp {
+        let (at, event) = match &mut self.imp {
             Impl::Wheel(w) => w.pop_at_or_before(limit)?,
             Impl::Heap(h) => h.pop_at_or_before(limit)?,
         };
-        debug_assert!(s.at >= self.now);
-        self.now = s.at;
-        Some((s.at, s.event))
+        debug_assert!(at >= self.now);
+        self.now = at;
+        Some((at, event))
     }
 
     /// Timestamp of the next pending event without popping it.
@@ -655,6 +712,11 @@ mod tests {
     }
 
     #[test]
+    fn bucket_slots_stay_two_per_cache_line() {
+        assert!(std::mem::size_of::<BucketNode>() <= 32, "{}", std::mem::size_of::<BucketNode>());
+    }
+
+    #[test]
     fn fused_pop_respects_limit_and_leaves_events_pending() {
         for kind in BOTH {
             let mut q = EventQueue::with_scheduler(kind);
@@ -677,7 +739,7 @@ mod tests {
         // in strict time order (regression test for cursor aliasing).
         for kind in BOTH {
             let mut q = EventQueue::with_scheduler(kind);
-            let far = 7 << TICK_SHIFT; // several ticks out, within the wheel
+            let far = 7 << DEFAULT_TICK_SHIFT; // several ticks out, within the wheel
             q.schedule_at(far, timer(99));
             assert!(q.pop_at_or_before(1).is_none(), "nothing due yet");
             // Earlier than the (advanced) cursor, later than `now`.
@@ -697,7 +759,7 @@ mod tests {
     /// interleave correctly, including events scheduled while draining.
     #[test]
     fn overflow_and_wheel_interleave() {
-        let horizon = (WHEEL_SIZE as u64) << TICK_SHIFT;
+        let horizon = (WHEEL_SIZE as u64) << DEFAULT_TICK_SHIFT;
         let mut q = EventQueue::new();
         q.schedule_at(3 * horizon, timer(2));
         q.schedule_at(1, timer(0));
@@ -767,7 +829,7 @@ mod tests {
     /// to the reference heap.
     #[test]
     fn wheel_matches_heap_beyond_rotation_horizons() {
-        let horizon = (WHEEL_SIZE as u64) << TICK_SHIFT;
+        let horizon = (WHEEL_SIZE as u64) << DEFAULT_TICK_SHIFT;
         for seed in 0..6u64 {
             let run = |kind: SchedulerKind| {
                 let mut rng = SimRng::seed_from_u64(0xA01u64 ^ seed);
@@ -780,9 +842,9 @@ mod tests {
                         1 => (rng.range_u64(1, 8)) * horizon - rng.below(3),
                         2 => (rng.below(8)) * horizon + rng.below(3),
                         // Same tick, different sub-tick offsets.
-                        3 => (5 << TICK_SHIFT) + rng.below(1 << TICK_SHIFT),
+                        3 => (5 << DEFAULT_TICK_SHIFT) + rng.below(1 << DEFAULT_TICK_SHIFT),
                         // Near events.
-                        _ => rng.below(1 << TICK_SHIFT),
+                        _ => rng.below(1 << DEFAULT_TICK_SHIFT),
                     };
                     q.schedule_at(at, timer(i));
                 }
@@ -798,7 +860,7 @@ mod tests {
                         // Re-entrant: zero-delay, next-rotation, far-future.
                         let at = match extra % 3 {
                             0 => t,
-                            1 => t + horizon + rng.below(1 << TICK_SHIFT),
+                            1 => t + horizon + rng.below(1 << DEFAULT_TICK_SHIFT),
                             _ => t + 50 * horizon,
                         };
                         q.schedule_at(at, timer(extra));
@@ -818,10 +880,10 @@ mod tests {
     /// same-instant causality depends on.
     #[test]
     fn same_tick_ordering_is_insertion_stable() {
-        let horizon = (WHEEL_SIZE as u64) << TICK_SHIFT;
+        let horizon = (WHEEL_SIZE as u64) << DEFAULT_TICK_SHIFT;
         // Same instant, same tick (different instants), and a far-future
         // tick that only materializes after an overflow refill.
-        for base in [0u64, 3 << TICK_SHIFT, 7 * horizon + (9 << TICK_SHIFT)] {
+        for base in [0u64, 3 << DEFAULT_TICK_SHIFT, 7 * horizon + (9 << DEFAULT_TICK_SHIFT)] {
             for kind in BOTH {
                 let mut q = EventQueue::with_scheduler(kind);
                 for i in 0..64 {
@@ -845,10 +907,123 @@ mod tests {
     }
 
     #[test]
+    fn fitted_ticks_follow_the_fastest_link() {
+        // MTU (1500 B) serialization at 400 G, 100 G and 10 G.
+        assert_eq!(tick_shift_for(30_000), 10);
+        assert_eq!(tick_shift_for(120_000), 12);
+        assert_eq!(tick_shift_for(1_200_000), 15);
+        assert_eq!(tick_shift_for(0), MIN_TICK_SHIFT);
+        assert_eq!(tick_shift_for(Time::MAX), MAX_TICK_SHIFT);
+    }
+
+    /// Token bit marking the events of the travel chain in
+    /// [`dense_schedule`].
+    const TRAVELER: u64 = 1 << 40;
+
+    /// One dense schedule, driven identically on either scheduler:
+    /// * a burst of 1,500 events inside 800 ns on a 4 ns grid — over a
+    ///   hundred per 65.5 ns, with exact-picosecond ties throughout;
+    /// * handlers that re-push at `now`, inside the tick and a few ticks
+    ///   out;
+    /// * fused pops refused at `now` (which may move the wheel's cursor
+    ///   ahead to the next occupied tick), each followed by pushes before
+    ///   that cursor;
+    /// * a cluster of far events that start in the overflow heap, and a
+    ///   travel chain that walks the clock towards them, so they migrate
+    ///   into wheel ticks that then receive direct pushes at the very same
+    ///   picoseconds.
+    ///
+    /// `mtu_ser` fits the wheel's tick as a network would (`None` keeps
+    /// the default tick). Returns the pop sequence as `(time, token)`.
+    fn dense_schedule(kind: SchedulerKind, mtu_ser: Option<Time>, seed: u64) -> Vec<(Time, u64)> {
+        let mut q = EventQueue::with_scheduler(kind);
+        let shift = match mtu_ser {
+            Some(ser) => {
+                q.fit_tick(ser);
+                tick_shift_for(ser)
+            }
+            None => DEFAULT_TICK_SHIFT,
+        };
+        let horizon = (WHEEL_SIZE as u64) << shift;
+        let far = horizon + horizon / 2;
+        let mut rng = SimRng::seed_from_u64(0xde45e ^ seed);
+        let mut next_token = 0u64;
+        let mut push = |q: &mut EventQueue, at: Time, flags: u64| {
+            q.schedule_at(at, timer(next_token | flags));
+            next_token += 1;
+        };
+        for i in 0..32 {
+            push(&mut q, far + (i % 8) * 1_000, 0);
+        }
+        for _ in 0..1_500 {
+            push(&mut q, rng.below(200) * 4_000, 0);
+        }
+        push(&mut q, horizon / 8, TRAVELER);
+        let mut popped = Vec::new();
+        let mut budget = 6_000u32;
+        loop {
+            if rng.chance(0.05) {
+                let now = q.now();
+                if let Some((t, Event::Timer { token, .. })) = q.pop_at_or_before(now) {
+                    popped.push((t, token));
+                } else {
+                    // Refused: the cursor may now be past `now`.
+                    push(&mut q, now + rng.below(3) * 4_000, 0);
+                    push(&mut q, now, 0);
+                }
+                continue;
+            }
+            let Some((t, ev)) = q.pop() else { break };
+            let Event::Timer { token, .. } = ev else { unreachable!() };
+            popped.push((t, token));
+            if token & TRAVELER != 0 {
+                if t + horizon / 8 < 2 * horizon {
+                    push(&mut q, t + horizon / 8, TRAVELER);
+                }
+                if t <= far && t + horizon > far {
+                    // Direct pushes into the far cluster's ticks, tied
+                    // with the events that migrated there.
+                    for _ in 0..8 {
+                        push(&mut q, far + rng.below(8) * 1_000, 0);
+                    }
+                }
+                push(&mut q, t + rng.below(16) * 4_000, 0);
+            } else if budget > 0 {
+                budget -= 1;
+                let at = match rng.below(4) {
+                    0 => t,
+                    1 => t + rng.below(16) * 4_000,
+                    _ => t + rng.below(250) * 4_000,
+                };
+                push(&mut q, at, 0);
+            }
+        }
+        assert!(q.is_empty());
+        popped
+    }
+
+    /// The wheel matches the reference heap pop for pop on dense ticks,
+    /// at the default tick (a hundred events per tick) and at ticks fitted
+    /// to 400 G and 10 G links. Within a tick it must order exact ties by
+    /// scheduling order, so a wheel that sorted a drained tick by `at`
+    /// alone with an unstable sort fails here.
+    #[test]
+    fn wheel_matches_heap_on_dense_ticks() {
+        for mtu_ser in [None, Some(30_000), Some(1_200_000)] {
+            for seed in 0..4 {
+                let wheel = dense_schedule(SchedulerKind::TimingWheel, mtu_ser, seed);
+                let heap = dense_schedule(SchedulerKind::BinaryHeap, mtu_ser, seed);
+                assert!(wheel.len() > 7_500, "{}", wheel.len());
+                assert_eq!(wheel, heap, "tick fitted to {mtu_ser:?}, seed {seed}");
+            }
+        }
+    }
+
+    #[test]
     fn len_tracks_pending_events() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        let horizon = (WHEEL_SIZE as u64) << TICK_SHIFT;
+        let horizon = (WHEEL_SIZE as u64) << DEFAULT_TICK_SHIFT;
         q.schedule_at(0, timer(0));
         q.schedule_at(horizon * 2, timer(1));
         assert_eq!(q.len(), 2);

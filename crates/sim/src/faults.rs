@@ -29,6 +29,18 @@
 //! pure function of (plan, packet transmission order). An **empty plan draws
 //! zero random numbers and schedules zero events** — the engine's fast path
 //! is byte-for-byte identical to a build without faults.
+//!
+//! Cost: the engine compiles an installed plan's windows into a
+//! `WindowSchedule` of merged busy intervals. Between windows a hop pays
+//! one comparison against the cached end of the current quiet interval:
+//! switches route with plain ECMP/spray selection, and the down, degraded,
+//! mid-flight-cut and blackout queries are all skipped (a transmission
+//! that would run past the quiet interval's end still gets the cut and
+//! blackout checks). Corruption rules are not windowed, so a plan with
+//! corruption still matches each transmission against its rules and draws
+//! one Bernoulli sample per match. A plan with node faults also stamps and
+//! checks flow incarnations on every packet. Inside a window every query
+//! runs as before.
 
 use std::fmt;
 use std::str::FromStr;
@@ -330,9 +342,8 @@ impl FaultPlan {
         self
     }
 
-    /// True when the plan injects nothing. The engine checks this once per
-    /// transmission and skips every fault hook, so an empty plan costs one
-    /// branch and draws no randomness.
+    /// True when the plan injects nothing: no corruption rule and no window
+    /// of any kind, so it draws no randomness and schedules no events.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.corruption.is_empty()
@@ -526,6 +537,78 @@ impl FaultPlan {
             }
         }
         false
+    }
+}
+
+/// The windows of an installed [`FaultPlan`], compiled for the engine's
+/// per-hop check.
+///
+/// Every link, node and blackout window is merged into sorted busy
+/// intervals. Between them lie quiet intervals, during which no window
+/// covers any instant, so every window query has a known answer: no link
+/// or node is down, no link is degraded and no credit blackout is on. The
+/// engine asks [`WindowSchedule::quiet_until`] once per hop and skips the
+/// queries (and routes with plain `select`) while it is quiet. The quiet
+/// interval around the last instant asked about is cached and refreshed
+/// lazily from the sorted intervals when time leaves it, so no events are
+/// needed to track it: credit blackouts have none.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WindowSchedule {
+    /// Union of every window's `[from, until)`, sorted and merged.
+    busy: Vec<(Time, Time)>,
+    /// Cached quiet interval `[from, until)` (empty until first asked).
+    from: Time,
+    until: Time,
+}
+
+impl WindowSchedule {
+    /// Compile `plan`'s link, node and blackout windows (resolved plans
+    /// only: raw arbiter and partition directives have no windows yet).
+    pub(crate) fn new(plan: &FaultPlan) -> WindowSchedule {
+        let mut spans: Vec<(Time, Time)> = plan
+            .windows
+            .iter()
+            .map(|w| (w.from, w.until))
+            .chain(plan.node_windows.iter().map(|w| (w.from, w.until)))
+            .chain(plan.blackouts.iter().copied())
+            .filter(|&(from, until)| from < until)
+            .collect();
+        spans.sort_unstable();
+        let mut busy: Vec<(Time, Time)> = Vec::with_capacity(spans.len());
+        for (from, until) in spans {
+            match busy.last_mut() {
+                Some(last) if from <= last.1 => last.1 = last.1.max(until),
+                _ => busy.push((from, until)),
+            }
+        }
+        WindowSchedule { busy, from: 0, until: 0 }
+    }
+
+    /// End of the quiet interval containing `t`, or `t` itself when a
+    /// window covers `t`. So `t` is quiet iff the result is `> t`, and a
+    /// transmission over `[t, t1)` meets no window iff also `t1 <=` the
+    /// result. `Time::MAX` when the plan has no windows at all.
+    #[inline]
+    pub(crate) fn quiet_until(&mut self, t: Time) -> Time {
+        if self.from <= t && t < self.until {
+            self.until
+        } else {
+            self.refresh(t)
+        }
+    }
+
+    #[cold]
+    fn refresh(&mut self, t: Time) -> Time {
+        // The first busy interval that ends after `t`.
+        let i = self.busy.partition_point(|&(_, until)| until <= t);
+        match self.busy.get(i) {
+            Some(&(from, _)) if from <= t => t,
+            next => {
+                self.from = if i == 0 { 0 } else { self.busy[i - 1].1 };
+                self.until = next.map_or(Time::MAX, |&(from, _)| from);
+                self.until
+            }
+        }
     }
 }
 
@@ -941,6 +1024,29 @@ mod tests {
         let mut plan = FaultPlan::new(0).with_crash(ms(1), ms(2), 5);
         plan.resolve(&[NodeId(10), NodeId(11)], None);
         assert_eq!(plan.node_windows[0].node, NodeSelector::Node(NodeId(11)));
+    }
+
+    #[test]
+    fn window_schedule_merges_windows_into_quiet_intervals() {
+        let mut plan = FaultPlan::new(0)
+            .with_down(ms(1), ms(2), LinkFilter::Node(NodeId(3)))
+            .with_degraded(ms(2), ms(3), 2, LinkFilter::All)
+            .with_crash(ms(5), ms(6), 0)
+            .with_arbiter_outage(ms(8), ms(9));
+        plan.resolve(&[NodeId(1)], None);
+        let mut w = WindowSchedule::new(&plan);
+        // Touching windows merge; blackouts count like any other window.
+        assert_eq!(w.busy, vec![(ms(1), ms(3)), (ms(5), ms(6)), (ms(8), ms(9))]);
+        assert_eq!(w.quiet_until(0), ms(1));
+        assert_eq!(w.quiet_until(ms(1) - 1), ms(1));
+        assert_eq!(w.quiet_until(ms(1)), ms(1), "a window opening at t covers t");
+        assert_eq!(w.quiet_until(ms(2) + 7), ms(2) + 7);
+        assert_eq!(w.quiet_until(ms(3)), ms(5), "a window closing at t leaves t quiet");
+        assert_eq!(w.quiet_until(ms(4)), ms(5));
+        assert_eq!(w.quiet_until(ms(8) + 1), ms(8) + 1);
+        assert_eq!(w.quiet_until(ms(9)), Time::MAX);
+        let corruption_only = FaultPlan::new(0).with_loss(0.5, PacketFilter::Any, LinkFilter::All);
+        assert_eq!(WindowSchedule::new(&corruption_only).quiet_until(7), Time::MAX);
     }
 
     #[test]

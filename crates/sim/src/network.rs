@@ -2,7 +2,7 @@
 
 use crate::endpoint::{Actions, Ctx, Endpoint};
 use crate::event::{Event, EventQueue, SchedulerKind};
-use crate::faults::{FaultPlan, NodeFaultKind};
+use crate::faults::{FaultPlan, NodeFaultKind, WindowSchedule};
 use crate::metrics::{AbortCause, Metrics};
 use crate::node::{Node, NodeKind};
 use crate::packet::{FlowDesc, NodeId, PortId};
@@ -13,6 +13,9 @@ use crate::rng::SimRng;
 use crate::routing::{RoutePolicy, RouteTable};
 use crate::telemetry::{FaultEvent, HostEvent, NullTracer, QueueEvent, QueueRecord, Tracer};
 use crate::units::{Rate, Time};
+
+/// Wire size of a full-MTU data frame (1460 B payload plus headers).
+const MTU_WIRE_BYTES: u64 = 1500;
 
 /// One recorded event of a traced flow's packet life.
 #[derive(Debug, Clone)]
@@ -67,9 +70,16 @@ pub struct Network<T: Tracer = NullTracer> {
     /// Scratch for per-band queue occupancy sampling (avoids a per-event
     /// allocation when tracing is on; unused otherwise).
     band_scratch: Vec<(&'static str, u64)>,
-    /// Installed fault schedule (empty by default: one `is_empty` branch per
-    /// transmission, zero RNG draws, zero extra events).
+    /// Installed fault schedule (empty by default: zero RNG draws, zero
+    /// extra events).
     faults: FaultPlan,
+    /// The installed plan's windows, compiled: between windows (always,
+    /// for a plan without any) a hop pays one comparison against the end
+    /// of the current quiet interval and skips every window query.
+    windows: WindowSchedule,
+    /// Whether the installed plan has node faults, so packets carry flow
+    /// incarnations.
+    node_faults: bool,
     /// The fault plan's private corruption RNG, isolated from every other
     /// randomness stream in the run.
     fault_rng: SimRng,
@@ -84,6 +94,9 @@ pub struct Network<T: Tracer = NullTracer> {
     /// Flows aborted by a node crash, waiting for both endpoints to come
     /// back up so they can relaunch. Scanned at every node-window end.
     pending_restart: Vec<FlowDesc>,
+    /// MTU serialization time of the fastest link connected so far: sizes
+    /// the event queue's wheel tick ([`EventQueue::fit_tick`]).
+    mtu_ser: Time,
 }
 
 impl Default for Network {
@@ -114,10 +127,13 @@ impl<T: Tracer> Network<T> {
             tracer,
             band_scratch: Vec::new(),
             faults: FaultPlan::default(),
+            windows: WindowSchedule::default(),
+            node_faults: false,
             fault_rng: SimRng::seed_from_u64(0),
             pool: PacketPool::new(),
             actions_scratch: Actions::default(),
             pending_restart: Vec::new(),
+            mtu_ser: Time::MAX,
         }
     }
 
@@ -131,7 +147,7 @@ impl<T: Tracer> Network<T> {
     ///
     /// Call before the run starts; window times already in the past are
     /// clamped to `now`. Installing an empty plan is free — no events are
-    /// scheduled and the per-transmission fault check stays a single branch.
+    /// scheduled and the per-hop fault check stays a single comparison.
     pub fn set_fault_plan(&mut self, mut plan: FaultPlan) {
         if !plan.is_resolved() {
             // The harness resolves plans against its own host list (which
@@ -151,6 +167,8 @@ impl<T: Tracer> Network<T> {
             self.queue.schedule_at(w.from.max(now), Event::NodeFault { window: i, start: true });
             self.queue.schedule_at(w.until.max(now), Event::NodeFault { window: i, start: false });
         }
+        self.windows = WindowSchedule::new(&plan);
+        self.node_faults = plan.has_node_faults();
         self.faults = plan;
     }
 
@@ -189,6 +207,9 @@ impl<T: Tracer> Network<T> {
             "set_scheduler on a live network"
         );
         self.queue = EventQueue::with_scheduler(kind);
+        if self.mtu_ser != Time::MAX {
+            self.queue.fit_tick(self.mtu_ser);
+        }
     }
 
     /// Which event scheduler this network runs on.
@@ -278,6 +299,10 @@ impl<T: Tracer> Network<T> {
         let node = &mut self.nodes[from.0 as usize];
         let pid = PortId(node.ports.len() as u16);
         node.ports.push(Port::new(Link { rate, delay, to }, queue));
+        if rate.bps() > 0 {
+            self.mtu_ser = self.mtu_ser.min(rate.serialize(MTU_WIRE_BYTES));
+            self.queue.fit_tick(self.mtu_ser);
+        }
         if T::ENABLED {
             self.tracer.port_registered(from, pid, rate, to);
         }
@@ -364,7 +389,7 @@ impl<T: Tracer> Network<T> {
             Event::FlowArrival { flow } => {
                 let flow = *flow;
                 let now = self.queue.now();
-                if !self.faults.is_empty()
+                if self.windows.quiet_until(now) <= now
                     && (self.faults.node_down_at(flow.src, now)
                         || self.faults.node_down_at(flow.dst, now))
                 {
@@ -641,19 +666,14 @@ impl<T: Tracer> Network<T> {
     fn handle_arrival(&mut self, node: NodeId, r: PacketRef) {
         self.record_ref(node, r, TraceKind::Arrive);
         let now = self.queue.now();
-        if !self.faults.is_empty()
-            && self.nodes[node.0 as usize].is_host()
-            && self.faults.node_down_at(node, now)
-        {
+        let quiet = self.windows.quiet_until(now) > now;
+        if !quiet && self.nodes[node.0 as usize].is_host() && self.faults.node_down_at(node, now) {
             // Delivery to a crashed host: the packet dies at the NIC with
             // the node window's taxonomy, never reaching the endpoint.
             self.kill_at_dead_node(node, r, now);
             return;
         }
-        if !self.faults.is_empty()
-            && self.faults.has_node_faults()
-            && self.nodes[node.0 as usize].is_host()
-        {
+        if self.node_faults && self.nodes[node.0 as usize].is_host() {
             // Reject stragglers from a dead flow incarnation: a cumulative
             // grant/credit packet sent pre-crash must not inflate the
             // relaunched incarnation's budget.
@@ -669,7 +689,9 @@ impl<T: Tracer> Network<T> {
         let Node { kind, ports, .. } = &mut self.nodes[node.0 as usize];
         match kind {
             NodeKind::Switch { table } => {
-                let port = if faults.is_empty() {
+                let port = if quiet {
+                    // No window is open, so no next hop is down: the plain
+                    // selection picks what `select_avoiding` would.
                     table.select(pool.get(r))
                 } else {
                     // Down links (including links into crashed nodes) are
@@ -787,7 +809,12 @@ impl<T: Tracer> Network<T> {
             Idle,
         }
         let mut deq_rec = None;
-        let faults_active = !self.faults.is_empty();
+        // Window queries run only when a window is open at `now` or meets
+        // the serialization (checked once `free_at` is known); corruption
+        // is not windowed.
+        let quiet_until = self.windows.quiet_until(now);
+        let quiet = quiet_until > now;
+        let corrupting = !self.faults.corruption.is_empty();
         let next = {
             let faults = &self.faults;
             let fault_rng = &mut self.fault_rng;
@@ -795,7 +822,7 @@ impl<T: Tracer> Network<T> {
             let p = &mut self.nodes[node.0 as usize].ports[port.0 as usize];
             if p.busy {
                 Next::Idle
-            } else if faults_active && faults.link_down_at(node, port, p.link.to, now) {
+            } else if !quiet && faults.link_down_at(node, port, p.link.to, now) {
                 // Link is down: leave the queue untouched. The window-end
                 // FaultWindow event re-kicks this port.
                 Next::Idle
@@ -811,7 +838,7 @@ impl<T: Tracer> Network<T> {
                         p.stats.pkts_tx += 1;
                         p.stats.payload_tx += pkt.payload as u64;
                         let mut ser = p.serialize(pkt.size as u64);
-                        if faults_active {
+                        if !quiet {
                             ser *= faults.slowdown_at(node, port, p.link.to, now) as Time;
                         }
                         if T::ENABLED {
@@ -831,7 +858,8 @@ impl<T: Tracer> Network<T> {
                             });
                         }
                         let free_at = now + ser;
-                        if let Some(reason) = (faults_active)
+                        let windowed = !quiet || free_at > quiet_until;
+                        if let Some(reason) = windowed
                             .then(|| faults.cut_reason(node, port, p.link.to, now, free_at))
                             .flatten()
                         {
@@ -843,13 +871,13 @@ impl<T: Tracer> Network<T> {
                             // link faults).
                             p.stats.fault_kills += 1;
                             Next::Kill { free_at, pkt: r, reason }
-                        } else if faults_active && faults.blackout_kills(pool.get(r), now) {
+                        } else if windowed && faults.blackout_kills(pool.get(r), now) {
                             // Arbiter outage on a distributed credit source:
                             // the credit stream dies at the egress. Checked
                             // before corruption so blackout kills draw no RNG.
                             p.stats.fault_kills += 1;
                             Next::Kill { free_at, pkt: r, reason: DropReason::ArbiterDown }
-                        } else if faults_active
+                        } else if corrupting
                             && faults.corrupts(node, port, p.link.to, pool.get(r), fault_rng)
                         {
                             p.stats.fault_kills += 1;
@@ -981,7 +1009,7 @@ impl<T: Tracer> Network<T> {
             // Stamp the flow incarnation so stragglers outlived by a crash
             // relaunch can be rejected at delivery. Only node faults can
             // restart flows, so the fault-free hot path skips the lookup.
-            if self.faults.has_node_faults() {
+            if self.node_faults {
                 pkt.incarnation =
                     self.metrics.flow(pkt.flow).map_or(0, |rec| rec.restarts);
             }
@@ -1014,7 +1042,7 @@ mod tests {
     use super::*;
     use crate::packet::{FlowId, Packet, PacketKind, TrafficClass, HEADER_BYTES};
     use crate::queues::DropTailQueue;
-    use crate::units::{us, Rate};
+    use crate::units::{ms, us, Rate};
 
     /// Endpoint that sends its whole flow at line rate on arrival and counts
     /// delivered bytes on the receive side.
@@ -1340,6 +1368,147 @@ mod tests {
             degraded > 3 * clean && degraded < 6 * clean,
             "4x slowdown should roughly quadruple the FCT: {clean} -> {degraded}"
         );
+    }
+
+    /// A transmission that starts in the quiet interval between two down
+    /// windows, and would still be on the wire when the second opens, is
+    /// cut as `LinkDown` like any other.
+    #[test]
+    fn quiet_transmission_crossing_a_down_window_start_is_cut() {
+        use crate::faults::{FaultPlan, LinkFilter};
+        let (mut net, h0, h1) = two_hosts_one_switch();
+        // The first window (on h1's egress) ends at 2 us, so h0's NIC
+        // starts at 10 us inside the quiet interval [2 us, 10.1 us); the
+        // second window opens 100 ns into its 832 ns serialization.
+        let cut_at = us(10) + 100 * crate::units::PS_PER_NS;
+        net.set_fault_plan(
+            FaultPlan::new(0)
+                .with_down(us(1), us(2), LinkFilter::Node(h1))
+                .with_down(cut_at, us(12), LinkFilter::Node(h0)),
+        );
+        net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 1_460, start: us(10) });
+        net.run_to_completion(us(100));
+        assert_eq!(net.metrics.drops_by_reason(DropReason::LinkDown), 1);
+        assert_eq!(net.metrics.payload_delivered, 0);
+    }
+
+    /// A degraded window opening exactly at the instant a transmission
+    /// starts slows it, even though the instant before was quiet.
+    #[test]
+    fn degraded_window_opening_exactly_at_now_slows_serialization() {
+        use crate::faults::{FaultPlan, LinkFilter};
+        let fct = |plan: Option<FaultPlan>| {
+            let (mut net, h0, h1) = two_hosts_one_switch();
+            if let Some(p) = plan {
+                net.set_fault_plan(p);
+            }
+            // An early flow the other way makes [0, 20 us) the cached quiet
+            // interval before the window opens.
+            net.schedule_flow(FlowDesc { id: FlowId(1), src: h1, dst: h0, size: 1_000, start: 0 });
+            net.schedule_flow(FlowDesc { id: FlowId(2), src: h0, dst: h1, size: 1_000, start: us(20) });
+            assert!(net.run_to_completion(us(1000)));
+            net.metrics.flow(FlowId(2)).unwrap().fct().unwrap()
+        };
+        let ser = Rate::gbps(10).serialize(1_000 + HEADER_BYTES as u64);
+        assert_eq!(fct(None), 2 * ser + 2 * us(1));
+        let degraded = FaultPlan::new(0).with_degraded(us(20), ms(10), 4, LinkFilter::All);
+        assert_eq!(fct(Some(degraded)), 2 * 4 * ser + 2 * us(1));
+    }
+
+    /// Host endpoint that sends one credit every `gap`, `left` times, from
+    /// flow arrival on, and counts the credits it receives.
+    struct CreditTicker {
+        gap: Time,
+        left: u32,
+        flow: Option<FlowDesc>,
+        received: std::rc::Rc<std::cell::Cell<u32>>,
+    }
+
+    impl CreditTicker {
+        fn tick(&mut self, ctx: &mut Ctx<'_>) {
+            let Some(f) = self.flow else { return };
+            if self.left > 0 {
+                self.left -= 1;
+                ctx.send(Packet::control(f.id, f.src, f.dst, self.left as u64, PacketKind::Credit));
+                ctx.set_timer_in(self.gap);
+            }
+        }
+    }
+
+    impl Endpoint for CreditTicker {
+        fn on_flow_arrival(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>) {
+            self.flow = Some(flow);
+            self.tick(ctx);
+        }
+        fn on_packet(&mut self, pkt: Packet, _ctx: &mut Ctx<'_>) {
+            if pkt.kind == PacketKind::Credit {
+                self.received.set(self.received.get() + 1);
+            }
+        }
+        fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_>) {
+            self.tick(ctx);
+        }
+    }
+
+    /// An arbiter outage on a scheme without an arbiter host becomes a
+    /// credit blackout, which has no window events: the quiet interval
+    /// before it must still end at its start. Credits transmitted inside
+    /// `[5 us, 10 us)` die, at whichever hop; the others arrive.
+    #[test]
+    fn credit_blackout_kills_credits_inside_the_window_only() {
+        use crate::faults::FaultPlan;
+        let run = |plan: Option<FaultPlan>| {
+            let (mut net, h0, h1) = two_hosts_one_switch();
+            let received = std::rc::Rc::new(std::cell::Cell::new(0));
+            for h in [h0, h1] {
+                let ticker = CreditTicker { gap: us(1), left: 20, flow: None, received: received.clone() };
+                net.set_endpoint(h, Box::new(ticker));
+            }
+            if let Some(p) = plan {
+                net.set_fault_plan(p);
+            }
+            net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 1, start: 0 });
+            net.run_until(us(100));
+            (received.get(), net.metrics.drops_by_reason(DropReason::ArbiterDown), net.metrics.total_drops())
+        };
+        assert_eq!(run(None), (20, 0, 0));
+        // Credits leave h0's NIC at k us and the switch about 1.07 us
+        // later: k = 5..=9 die at the NIC, k = 4 at the switch.
+        let blackout = FaultPlan::new(0).with_arbiter_outage(us(5), us(10));
+        assert_eq!(run(Some(blackout)), (14, 6, 6));
+    }
+
+    /// Between fault windows the engine routes with `select`: with nothing
+    /// down it must pick the port `select_avoiding` would, hash for hash
+    /// and spray draw for spray draw.
+    #[test]
+    fn plain_selection_matches_avoiding_selection_when_nothing_is_down() {
+        let dst = NodeId(5);
+        for (policy, width) in
+            [(RoutePolicy::EcmpHash, 3), (RoutePolicy::EcmpHash, 4), (RoutePolicy::Spray, 3)]
+        {
+            let table = || {
+                let mut t = RouteTable::new(8, policy, 42);
+                for p in 0..width {
+                    t.add_route(dst, PortId(p));
+                }
+                t
+            };
+            let (mut plain, mut avoiding) = (table(), table());
+            for f in 0..256 {
+                let mut pkt =
+                    Packet::data(FlowId(f), NodeId(0), dst, 0, 1460, TrafficClass::Scheduled, 1);
+                pkt.path_tag = f % 5;
+                if f % 2 == 0 {
+                    pkt.route_hash = crate::routing::fnv1a(pkt.flow.0, pkt.path_tag);
+                }
+                assert_eq!(
+                    plain.select(&pkt),
+                    avoiding.select_avoiding(&pkt, |_| false),
+                    "{policy:?} over {width} ports, flow {f}"
+                );
+            }
+        }
     }
 
     #[test]

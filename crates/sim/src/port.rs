@@ -39,9 +39,9 @@ pub struct PortStats {
 }
 
 impl PortStats {
-    /// Account a queue-occupancy change at `now`; call with the occupancy
-    /// *before* the change has been applied… actually with the previous
-    /// occupancy `prev_bytes` held since the last change.
+    /// Account a queue-occupancy change at `now`: `prev_bytes` is the
+    /// occupancy held since the last change, i.e. read before the change
+    /// is applied.
     pub fn on_qlen_change(&mut self, prev_bytes: u64, now: Time) {
         let dt = now.saturating_sub(self.qlen_last_change);
         self.qlen_integral += prev_bytes as u128 * dt as u128;

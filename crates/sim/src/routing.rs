@@ -169,8 +169,10 @@ impl RouteTable {
     /// Pick the egress port for `pkt`, steering around ports for which
     /// `is_down` returns true. Falls back to the normal selection when every
     /// candidate is down (the packet then waits in a stalled queue until the
-    /// link recovers). Used by the engine only while a fault plan with down
-    /// windows is active.
+    /// link recovers). Used by the engine only while a fault window is
+    /// open: outside every window nothing is down, and [`RouteTable::select`]
+    /// picks the same port (same group, same hash and mask, or the same
+    /// single spray draw) without building the up-port list.
     ///
     /// # Panics
     /// Panics if no route exists — topologies must be fully wired.

@@ -10,6 +10,13 @@ cargo test -q --workspace
 # the global allocator after warm-up (counting-allocator integration test).
 cargo test --release -q --test zero_alloc
 
+# The repository benchmark's own tests (a separate package with its own
+# lockfile and target directory): traced = untraced = oracle outcome on
+# every workload, seed determinism and the CLI contract, so an engine
+# change that alters what the benchmark simulates fails here, not only
+# when the benchmark is next run.
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 # Bench targets compile and run in quick mode (2 iterations, no report).
 AEOLUS_BENCH_ITERS=2 AEOLUS_BENCH_WARMUP=1 cargo bench -p aeolus-bench --bench engine
 AEOLUS_BENCH_ITERS=2 AEOLUS_BENCH_WARMUP=1 cargo bench -p aeolus-bench --bench alloc
